@@ -4,6 +4,8 @@ Commands:
 
 * ``run``      -- run a bundled workload under one or all detectors
 * ``exec``     -- compile and run a MiniSMP source file
+* ``analyze``  -- run trace-based detectors over a saved trace
+* ``replay``   -- replay a schedule recording with detectors
 * ``compile``  -- compile a MiniSMP source file and show the listing
 * ``table1``   -- regenerate the paper's Table 1
 * ``table2``   -- regenerate the paper's Table 2
@@ -11,12 +13,13 @@ Commands:
 * ``campaign`` -- parallel (workload, seed, detector-config) sweep
 * ``shard``    -- plan/run/merge a campaign split across independent
                shard processes (see ``docs/scaling.md``)
+* ``serve``    -- long-lived supervised fleet of detector executions
 * ``fuzz``     -- differential fuzzing of the SVD detector family
 * ``bench``    -- gate benchmark artefacts against pinned perf floors
                (and, with ``--gate``, against their recorded trend)
 * ``db``       -- query the persistent results database
 
-``run``, ``campaign`` and ``fuzz`` accept ``--obs`` (plus
+``run``, ``campaign``, ``serve`` and ``fuzz`` accept ``--obs`` (plus
 ``--trace-out``/``--metrics-out``) to activate :mod:`repro.obs` for the
 command: a metrics summary and span timings at the end of the run, a
 canonical-JSON metrics snapshot, and a Chrome trace-event file that
@@ -29,7 +32,7 @@ import argparse
 import json
 import sys
 import time as _time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import repro.obs as obs
 from repro.core import OnlineSVD
@@ -166,6 +169,22 @@ def _obs_emit(args, snapshot, tracer) -> None:
     print(obs.render_summary(snapshot, tracer))
 
 
+def _observed(args, call, record: bool = False):
+    """``call()`` inside an obs session that is on when ``args`` asks
+    for obs artifacts or ``record`` wants a snapshot for a results-DB
+    row.  Returns ``(call(), snapshot)`` -- the snapshot ``None`` when
+    obs was off -- after writing and printing the requested artifacts."""
+    on = _obs_active(args) or record
+    with obs.session(metrics=on, tracing=on) as handle:
+        value = call()
+    if not on:
+        return value, None
+    snapshot = handle.registry.snapshot()
+    if _obs_active(args):
+        _obs_emit(args, snapshot, handle.tracer)
+    return value, snapshot
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -264,20 +283,16 @@ def _build_parser() -> argparse.ArgumentParser:
     camp.add_argument("--budget", type=float, default=None,
                       help="campaign wall-clock budget in seconds; "
                       "undispatched runs are marked skipped")
-    camp.add_argument("--journal", default=None, metavar="DIR",
-                      help="checkpoint every finished run to an atomic "
-                      "journal in DIR (resume later with --resume DIR)")
-    camp.add_argument("--resume", default=None, metavar="DIR",
-                      help="resume an interrupted campaign from its "
-                      "journal; already-journaled runs are skipped and "
-                      "the merged output is identical to an "
-                      "uninterrupted run")
-    camp.add_argument("--shard", default=None, metavar="K/N",
-                      help="run only shard K of N (1-based): the tasks "
-                      "whose global matrix index i satisfies "
-                      "i %% N == K-1; seeds and results are identical "
-                      "to the same tasks of the unsharded campaign "
-                      "(see docs/scaling.md)")
+    # --journal starts a fresh journal, --resume continues one
+    journal = camp.add_mutually_exclusive_group()
+    journal.add_argument("--journal", default=None, metavar="DIR",
+                         help="checkpoint every finished run to an atomic "
+                         "journal in DIR (resume later with --resume DIR)")
+    journal.add_argument("--resume", default=None, metavar="DIR",
+                         help="resume an interrupted campaign from its "
+                         "journal; already-journaled runs are skipped and "
+                         "the merged output is identical to an "
+                         "uninterrupted run")
     camp.add_argument("--table2", action="store_true",
                       help="also render with the paper's Table 2 "
                       "reference columns")
@@ -579,15 +594,9 @@ def _cmd_run(args) -> int:
             return EXIT_USAGE
         print(plan.describe(), file=sys.stderr)
     db_info = {} if args.db else None
-    snapshot = None
     start = _time.perf_counter()
-    if not _obs_active(args):
-        code = _run_workload_cmd(args, plan, db_info)
-    else:
-        with obs.session() as handle:
-            code = _run_workload_cmd(args, plan, db_info)
-        snapshot = handle.registry.snapshot()
-        _obs_emit(args, snapshot, handle.tracer)
+    code, snapshot = _observed(
+        args, lambda: _run_workload_cmd(args, plan, db_info))
     if db_info is not None and code != EXIT_USAGE:
         _db_record_run(args, code, db_info, snapshot,
                        elapsed=_time.perf_counter() - start)
@@ -1030,61 +1039,72 @@ def _campaign_config_doc(args, names, configs) -> dict:
     }
 
 
-def _parse_shard_flag(value: str) -> Tuple[int, int]:
-    """``K/N`` (1-based K) -> 0-based ``(index, count)``."""
-    try:
-        k_text, n_text = value.split("/", 1)
-        k, n = int(k_text), int(n_text)
-    except ValueError:
-        raise _MatrixError(f"--shard wants K/N (e.g. 2/4), got {value!r}")
-    if n < 1 or not 1 <= k <= n:
-        raise _MatrixError(f"--shard {value}: K must be in 1..N")
-    return k - 1, n
+def _campaign_code(report) -> int:
+    """Exit code of a finished (or merged) campaign report."""
+    if report.interrupted:
+        return EXIT_DEGRADED
+    return _exit_code(report.aggregate.violations > 0,
+                      report.failed_count > 0)
 
 
-def _install_interrupt_handlers():
-    """Route SIGTERM/SIGINT into KeyboardInterrupt for graceful
-    campaign interruption; returns the handlers to restore."""
-    import signal as _signal
-
-    def _interrupt(signum, frame):
-        raise KeyboardInterrupt(_signal.Signals(signum).name)
-
-    previous = {}
-    for signum in (_signal.SIGTERM, _signal.SIGINT):
-        try:
-            previous[signum] = _signal.signal(signum, _interrupt)
-        except (ValueError, OSError):
-            pass  # not the main thread; keep whatever is installed
-    return previous
+def _tally(report) -> str:
+    return (f"{report.completed - report.failed_count} ok, "
+            f"{report.failed_count} failed/skipped")
 
 
-def _restore_interrupt_handlers(previous) -> None:
-    import signal as _signal
-    for signum, handler in previous.items():
-        _signal.signal(signum, handler)
+def _print_tables(report, table2: bool) -> None:
+    print(report.render_metrics())
+    if table2:
+        print()
+        print(report.render_table2())
+
+
+def _record_campaign(db: str, label: str, config: Optional[dict], report,
+                     snapshot, heartbeat) -> None:
+    """Append one campaign row -- unsharded, one shard, or a shard
+    merge -- to the results database.  Everything but the label, config
+    document and telemetry derives from the report, so a merged shard
+    campaign records the same row as the unsharded one.  A plan built
+    without a config document records the bare matrix instead."""
+    from repro import resultsdb
+    spec = report.spec
+    first = spec.configs[0] if spec.configs else None
+    if config is None:
+        config = {"command": "campaign",
+                  "workloads": sorted(w.name for w in spec.workloads),
+                  "configs": sorted(c.name for c in spec.configs),
+                  "seeds": spec.seeds}
+    run_id = resultsdb.write_run(
+        db, "campaign", label, config,
+        status=("interrupted" if report.interrupted
+                else _status_of(_campaign_code(report))),
+        violations=report.aggregate.violations,
+        events=report.aggregate.events,
+        elapsed=report.elapsed,
+        master_seed=spec.master_seed,
+        detectors=first.detectors if first else (),
+        consistency=first.consistency if first else "",
+        payload={"runs": report.completed, "failed": report.failed_count},
+        obs=snapshot,
+        violation_fingerprints=sorted(
+            report.aggregate.violation_fingerprints),
+        heartbeat=heartbeat)
+    print(f"recorded {label} {run_id} in {db}", file=sys.stderr)
 
 
 def _cmd_campaign(args) -> int:
-    from repro.harness.campaign import run_campaign
+    from repro.harness.journal import JournalError
+    from repro.harness.session import run_session
     # --db wants the merged obs snapshot in the record, so recording a
     # campaign implies collecting task metrics even without --obs
-    obs_on = _obs_active(args) or bool(args.db)
     try:
-        spec, names, configs = _resolve_campaign_spec(args, obs_on)
-        shard = _parse_shard_flag(args.shard) if args.shard else None
+        spec, names, configs = _resolve_campaign_spec(
+            args, _obs_active(args) or bool(args.db))
     except _MatrixError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    if args.journal and args.resume:
-        print("--journal starts a fresh journal, --resume continues one; "
-              "give only the one you mean", file=sys.stderr)
-        return EXIT_USAGE
     journal_dir = args.resume or args.journal
     total = len(names) * len(configs) * args.seeds
-    if shard is not None:
-        index, count = shard
-        total = sum(1 for i in range(total) if i % count == index)
     done = [0]
 
     def progress(result) -> None:
@@ -1100,132 +1120,45 @@ def _cmd_campaign(args) -> int:
         print(f"[{done[0]}/{total}] {result.workload}/{result.config} "
               f"seed#{result.seed_index} -> {note}", file=sys.stderr)
 
-    from repro.harness.journal import JournalError
-    # graceful interruption: SIGTERM joins SIGINT in raising
-    # KeyboardInterrupt, which run_campaign absorbs into a partial
-    # report -- the journal keeps every finished task, the heartbeat
-    # gets its final (interrupted) record, and the exit code says
-    # degraded (3)
-    previous = _install_interrupt_handlers()
-    heartbeat = None
     try:
-        # the heartbeat (whose stream file is what interrupt tests and
-        # operators watch for) is created only after the handlers are
-        # installed, so a signal racing the startup can never land in
-        # an unprotected window once the stream exists
-        if args.progress or args.heartbeat_out or args.db:
-            from repro.harness import CampaignHeartbeat
-            heartbeat = CampaignHeartbeat(
-                total, path=args.heartbeat_out,
-                interval=args.heartbeat_interval,
-                render=args.progress, stream=sys.stderr)
-        # keep_results=False: every result folds into the streaming
-        # aggregate on arrival, so parent memory stays O(1) in
-        # completed tasks no matter how large the matrix is
-        if spec.obs:
-            with obs.session() as handle:
-                report = run_campaign(spec, workers=args.workers,
-                                      budget=args.budget,
-                                      on_result=progress,
-                                      journal_dir=journal_dir,
-                                      resume=bool(args.resume),
-                                      heartbeat=heartbeat,
-                                      keep_results=False, shard=shard)
-        else:
-            handle = None
-            report = run_campaign(spec, workers=args.workers,
-                                  budget=args.budget, on_result=progress,
-                                  journal_dir=journal_dir,
-                                  resume=bool(args.resume),
-                                  heartbeat=heartbeat,
-                                  keep_results=False, shard=shard)
+        session = run_session(
+            spec, workers=args.workers, budget=args.budget,
+            journal_dir=journal_dir, resume=bool(args.resume),
+            on_result=progress, heartbeat_path=args.heartbeat_out,
+            heartbeat_interval=args.heartbeat_interval,
+            render=args.progress, summary=bool(args.db))
     except JournalError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except KeyboardInterrupt:
-        # the signal landed outside run_campaign's absorbing region
-        # (setup or teardown); still flush telemetry and exit degraded
-        # instead of dying with a traceback
-        if heartbeat is not None:
-            heartbeat.interrupted = True
-            heartbeat.finish()
-        print("campaign interrupted before any report was produced; "
-              "journal and heartbeat are flushed", file=sys.stderr)
-        return EXIT_DEGRADED
-    finally:
-        _restore_interrupt_handlers(previous)
-    print(report.render_metrics())
-    if args.table2:
-        print()
-        print(report.render_table2())
-    completed = report.completed
-    failed_count = report.failed_count
-    print(f"{completed} runs ({completed - failed_count}"
-          f" ok, {failed_count} failed/skipped) in {report.elapsed:.1f}s "
-          f"with {args.workers} worker(s)", file=sys.stderr)
+    report = session.report
+    _print_tables(report, args.table2)
+    print(f"{report.completed} runs ({_tally(report)}) in "
+          f"{report.elapsed:.1f}s with {args.workers} worker(s)",
+          file=sys.stderr)
     for result in report.errors[:5]:
         first_line = result.error.strip().splitlines()[-1:] or ["?"]
         print(f"  {result.workload}/{result.config} seed#"
               f"{result.seed_index}: {result.status}: {first_line[0]}",
               file=sys.stderr)
-    final_snapshot = None
-    if handle is not None:
-        # task snapshots (folded as they arrived) + the parent's own
-        # pool counters, merged into one campaign-wide view; computed
-        # once so the --metrics-out file and the db record are
-        # byte-identical
-        merged = report.merged_obs()
-        snapshots = ([merged] if merged is not None else [])
-        snapshots.append(handle.registry.snapshot())
-        final_snapshot = obs.merge_snapshots(snapshots)
-        if _obs_active(args):
-            _obs_emit(args, final_snapshot, handle.tracer)
-    violations = report.aggregate.violations > 0
-    code = _exit_code(violations, failed_count > 0)
+    if session.snapshot is not None and _obs_active(args):
+        _obs_emit(args, session.snapshot, session.tracer)
     if report.interrupted:
-        code = EXIT_DEGRADED
-        print(f"campaign interrupted after {completed} of "
+        print(f"campaign interrupted after {report.completed} of "
               f"{total} runs; journal and heartbeat are flushed"
               + (", resume with --resume" if journal_dir else ""),
               file=sys.stderr)
     if args.db:
-        from repro import resultsdb
-        config = _campaign_config_doc(args, names, configs)
-        label = ("campaign" if shard is None
-                 else f"campaign[shard {shard[0] + 1}/{shard[1]}]")
-        summary = heartbeat.summary() if heartbeat is not None else None
-        run_id = resultsdb.write_run(
-            args.db, "campaign", label, config,
-            status=("interrupted" if report.interrupted
-                    else _status_of(code)),
-            violations=report.aggregate.violations,
-            events=report.aggregate.events,
-            elapsed=report.elapsed,
-            master_seed=args.master_seed,
-            detectors=(parse_detector_list(args.detectors)
-                       if args.detectors else ()),
-            consistency=args.consistency,
-            payload={"runs": completed, "failed": failed_count},
-            obs=final_snapshot,
-            violation_fingerprints=sorted(
-                report.aggregate.violation_fingerprints),
-            heartbeat=summary)
-        print(f"recorded campaign {run_id} in {args.db}", file=sys.stderr)
-    return code
+        _record_campaign(
+            args.db, "campaign", _campaign_config_doc(args, names, configs),
+            report, session.snapshot, session.heartbeat)
+    return _campaign_code(report)
 
 
 def _cmd_shard(args) -> int:
     """``repro shard``: plan, run, merge, drive."""
-    cmd = args.shard_command
-    if cmd == "plan":
-        return _cmd_shard_plan(args)
-    if cmd == "run":
-        return _cmd_shard_run(args)
-    if cmd == "merge":
-        return _cmd_shard_merge(args)
-    if cmd == "drive":
-        return _cmd_shard_drive(args)
-    raise AssertionError(f"unhandled shard command {cmd!r}")
+    return {"plan": _cmd_shard_plan, "run": _cmd_shard_run,
+            "merge": _cmd_shard_merge,
+            "drive": _cmd_shard_drive}[args.shard_command](args)
 
 
 def _cmd_shard_plan(args) -> int:
@@ -1256,117 +1189,50 @@ def _cmd_shard_plan(args) -> int:
 
 def _cmd_shard_run(args) -> int:
     import os
-    from repro.harness import CampaignHeartbeat
     from repro.harness import shard as shardlib
-    from repro.harness.campaign import run_campaign
-    from repro.harness.journal import JOURNAL_NAME, JournalError
+    from repro.harness.journal import JournalError
+    from repro.harness.session import run_session
     try:
         spec, (index, count) = shardlib.load_shard(args.shard_dir)
     except shardlib.ShardError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    total = sum(1 for t in spec.tasks() if t.index % count == index)
-    # rerunning a shard directory always resumes its journal: the
-    # normal recovery path after a crash or kill is simply to run the
-    # same command again
-    resume = os.path.exists(os.path.join(args.shard_dir, JOURNAL_NAME))
-    previous = _install_interrupt_handlers()
-    handle = None
-    heartbeat = None
+    # rerunning a shard directory always resumes its journal (a missing
+    # journal is simply started): the normal recovery path after a
+    # crash or kill is to run the same command again
     try:
-        # created inside the guarded region (see _cmd_campaign): once
-        # the heartbeat stream exists, a signal cannot land outside it
-        heartbeat = CampaignHeartbeat(
-            total,
-            path=os.path.join(args.shard_dir, shardlib.HEARTBEAT_NAME),
-            interval=args.heartbeat_interval, render=False)
-        if spec.obs:
-            with obs.session() as handle:
-                report = run_campaign(
-                    spec, workers=args.workers, budget=args.budget,
-                    journal_dir=args.shard_dir, resume=resume,
-                    heartbeat=heartbeat, keep_results=False,
-                    shard=(index, count))
-        else:
-            report = run_campaign(
-                spec, workers=args.workers, budget=args.budget,
-                journal_dir=args.shard_dir, resume=resume,
-                heartbeat=heartbeat, keep_results=False,
-                shard=(index, count))
+        session = run_session(
+            spec, workers=args.workers, budget=args.budget,
+            journal_dir=args.shard_dir, resume=True, shard=(index, count),
+            heartbeat_path=os.path.join(args.shard_dir,
+                                        shardlib.HEARTBEAT_NAME),
+            heartbeat_interval=args.heartbeat_interval)
     except JournalError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except KeyboardInterrupt:
-        # signal outside run_campaign's absorbing region: flush the
-        # shard telemetry and exit degraded; rerunning the shard
-        # directory resumes its journal
-        if heartbeat is not None:
-            heartbeat.interrupted = True
-            heartbeat.finish()
-        print(f"shard {index + 1}/{count} interrupted; rerun "
-              f"`repro shard run {args.shard_dir}` to resume",
-              file=sys.stderr)
-        return EXIT_DEGRADED
-    finally:
-        _restore_interrupt_handlers(previous)
-    final_snapshot = None
-    if handle is not None:
-        merged = report.merged_obs()
-        snapshots = ([merged] if merged is not None else [])
-        snapshots.append(handle.registry.snapshot())
-        final_snapshot = obs.merge_snapshots(snapshots)
-        # the shard's contribution to the merged campaign snapshot:
-        # its task obs plus its own pool counters.  merge_snapshots is
-        # associative and commutative, so folding these per-shard files
-        # reproduces the unsharded final snapshot byte-identically.
+    report = session.report
+    if session.snapshot is not None:
+        # merge_shards folds these files into the campaign snapshot
         obs.atomic_write_text(
             os.path.join(args.shard_dir, shardlib.METRICS_NAME),
-            json.dumps(final_snapshot, sort_keys=True, indent=2) + "\n")
-    completed = report.completed
-    failed_count = report.failed_count
-    print(f"shard {index + 1}/{count}: {completed}/{total} tasks "
-          f"({completed - failed_count} ok, {failed_count} "
-          f"failed/skipped) in {report.elapsed:.1f}s")
-    violations = report.aggregate.violations > 0
-    code = _exit_code(violations, failed_count > 0)
+            json.dumps(session.snapshot, sort_keys=True, indent=2) + "\n",
+            fsync=True)
+    print(f"shard {index + 1}/{count}: {report.completed}/{session.total} "
+          f"tasks ({_tally(report)}) in {report.elapsed:.1f}s")
     if report.interrupted:
-        code = EXIT_DEGRADED
         print(f"shard interrupted; the journal is flushed, rerun "
               f"`repro shard run {args.shard_dir}` to resume",
               file=sys.stderr)
     if args.db:
-        from repro import resultsdb
-        config_doc = None
         try:
-            parent = shardlib.load_plan(
-                os.path.dirname(os.path.abspath(args.shard_dir)))
-            config_doc = parent.config
+            config_doc = shardlib.load_plan(
+                os.path.dirname(os.path.abspath(args.shard_dir))).config
         except shardlib.ShardError:
-            pass
-        if config_doc is None:
-            config_doc = {"command": "campaign",
-                          "workloads": sorted(w.name
-                                              for w in spec.workloads),
-                          "configs": sorted(c.name for c in spec.configs),
-                          "seeds": spec.seeds}
-        run_id = resultsdb.write_run(
-            args.db, "campaign",
-            f"campaign[shard {index + 1}/{count}]", config_doc,
-            status=("interrupted" if report.interrupted
-                    else _status_of(code)),
-            violations=report.aggregate.violations,
-            events=report.aggregate.events,
-            elapsed=report.elapsed,
-            master_seed=spec.master_seed,
-            consistency=(spec.configs[0].consistency
-                         if spec.configs else ""),
-            payload={"runs": completed, "failed": failed_count},
-            obs=final_snapshot,
-            violation_fingerprints=sorted(
-                report.aggregate.violation_fingerprints),
-            heartbeat=heartbeat.summary())
-        print(f"recorded shard {run_id} in {args.db}", file=sys.stderr)
-    return code
+            config_doc = None  # a shard directory away from its plan
+        _record_campaign(
+            args.db, f"campaign[shard {index + 1}/{count}]", config_doc,
+            report, session.snapshot, session.heartbeat)
+    return _campaign_code(report)
 
 
 def _cmd_shard_merge(args) -> int:
@@ -1378,16 +1244,10 @@ def _cmd_shard_merge(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     report = merge.report
-    print(report.render_metrics())
-    if args.table2:
-        print()
-        print(report.render_table2())
-    completed = report.completed
-    failed_count = report.failed_count
+    _print_tables(report, args.table2)
     print(f"merged {len(merge.shards)}/{merge.plan.count} shard "
-          f"journal(s): {completed}/{merge.plan.total_tasks} runs "
-          f"({completed - failed_count} ok, {failed_count} "
-          f"failed/skipped)", file=sys.stderr)
+          f"journal(s): {report.completed}/{merge.plan.total_tasks} runs "
+          f"({_tally(report)})", file=sys.stderr)
     if merge.missing:
         sample = ", ".join(str(i) for i in merge.missing_sample)
         print(f"{merge.missing} task(s) not covered by any shard "
@@ -1404,35 +1264,10 @@ def _cmd_shard_merge(args) -> int:
                 json.dumps(merge.obs, sort_keys=True, indent=2) + "\n")
             print(f"metrics written to {args.metrics_out}",
                   file=sys.stderr)
-    violations = report.aggregate.violations > 0
-    code = _exit_code(violations, failed_count > 0)
-    if merge.missing:
-        code = EXIT_DEGRADED
     if args.db:
-        from repro import resultsdb
-        config = merge.plan.config or {}
-        detectors = ()
-        if config.get("detectors"):
-            try:
-                detectors = tuple(parse_detector_list(config["detectors"]))
-            except KeyError:
-                detectors = ()
-        run_id = resultsdb.write_run(
-            args.db, "campaign", "campaign", config,
-            status=("interrupted" if merge.missing else _status_of(code)),
-            violations=report.aggregate.violations,
-            events=report.aggregate.events,
-            elapsed=report.elapsed,
-            master_seed=merge.plan.spec.master_seed,
-            detectors=detectors,
-            consistency=config.get("consistency", ""),
-            payload={"runs": completed, "failed": failed_count},
-            obs=merge.obs,
-            violation_fingerprints=sorted(
-                report.aggregate.violation_fingerprints),
-            heartbeat=merge.heartbeat)
-        print(f"recorded campaign {run_id} in {args.db}", file=sys.stderr)
-    return code
+        _record_campaign(args.db, "campaign", merge.plan.config,
+                         report, merge.obs, merge.heartbeat)
+    return _campaign_code(report)
 
 
 def _cmd_shard_drive(args) -> int:
@@ -1485,12 +1320,9 @@ def _cmd_serve(args) -> int:
             return EXIT_USAGE
         print(plan.describe(), file=sys.stderr)
 
-    heartbeat = None
-    if args.progress or args.heartbeat_out or args.db:
-        heartbeat = ServeHeartbeat(
-            args.executions, path=args.heartbeat_out,
-            interval=args.heartbeat_interval,
-            render=args.progress, stream=sys.stderr)
+    if args.port_file and args.http_port is None:
+        print("--port-file needs --http-port", file=sys.stderr)
+        return EXIT_USAGE
     try:
         config = ServeConfig(
             workloads=names, executions=args.executions,
@@ -1504,27 +1336,22 @@ def _cmd_serve(args) -> int:
             budget_events_per_sec=args.budget_events_per_sec,
             ladder_dwell=args.ladder_dwell,
             drain_grace=args.drain_grace,
-            http_port=args.http_port, port_file=args.port_file,
-            heartbeat=heartbeat)
+            http_port=args.http_port, port_file=args.port_file)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.port_file and args.http_port is None:
-        print("--port-file needs --http-port", file=sys.stderr)
-        return EXIT_USAGE
+    # the heartbeat opens its stream file, so it comes only after every
+    # usage check has passed
+    if args.progress or args.heartbeat_out or args.db:
+        config.heartbeat = ServeHeartbeat(
+            args.executions, path=args.heartbeat_out,
+            interval=args.heartbeat_interval,
+            render=args.progress, stream=sys.stderr)
     supervisor = Supervisor(config)
 
-    obs_on = _obs_active(args) or bool(args.db)
-    snapshot = None
     with fault_runtime.install(plan):
-        if obs_on:
-            with obs.session() as handle:
-                outcome = supervisor.run()
-            snapshot = handle.registry.snapshot()
-            if _obs_active(args):
-                _obs_emit(args, snapshot, handle.tracer)
-        else:
-            outcome = supervisor.run()
+        outcome, snapshot = _observed(args, supervisor.run,
+                                      record=bool(args.db))
 
     totals = supervisor.totals
     if not args.quiet:
@@ -1562,23 +1389,16 @@ def _cmd_serve(args) -> int:
             consistency=args.consistency,
             payload=supervisor.final_payload(),
             obs=snapshot,
-            heartbeat=(heartbeat.summary() if heartbeat is not None
-                       else None))
+            heartbeat=(config.heartbeat.summary()
+                       if config.heartbeat is not None else None))
         print(f"recorded serve {run_id} in {args.db}", file=sys.stderr)
     return code
 
 
 def _cmd_fuzz(args) -> int:
     db_info = {} if args.db else None
-    snapshot = None
     start = _time.perf_counter()
-    if not _obs_active(args):
-        code = _run_fuzz_cmd(args, db_info)
-    else:
-        with obs.session() as handle:
-            code = _run_fuzz_cmd(args, db_info)
-        snapshot = handle.registry.snapshot()
-        _obs_emit(args, snapshot, handle.tracer)
+    code, snapshot = _observed(args, lambda: _run_fuzz_cmd(args, db_info))
     if db_info is not None and code != EXIT_USAGE:
         from repro import resultsdb
         config = {

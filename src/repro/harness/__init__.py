@@ -9,7 +9,7 @@ from repro.harness.bench_gate import (FLOORS, FloorCheck, FloorSpecError,
                                       parse_floor)
 from repro.harness.campaign import (CampaignAggregate, CampaignReport,
                                     CampaignResult, CampaignSpec,
-                                    CellStats, ConfigSpec, WorkloadSpec,
+                                    ConfigSpec, WorkloadSpec,
                                     derive_seed, run_campaign)
 from repro.harness.heartbeat import CampaignHeartbeat
 from repro.harness.journal import (CampaignJournal, JournalError,
@@ -43,7 +43,6 @@ __all__ = [
     "CampaignReport",
     "CampaignResult",
     "CampaignSpec",
-    "CellStats",
     "ConfigSpec",
     "ShardError",
     "ShardMerge",

@@ -31,7 +31,7 @@ import importlib
 import json
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Sequence, Set, Tuple)
 
@@ -42,7 +42,7 @@ import repro.obs as obs
 from repro.core.online import SvdConfig
 from repro.harness.pool import Outcome, parallel_map
 from repro.harness.runner import run_workload
-from repro.harness.table2 import Table2Row, aggregate_row, render_table2
+from repro.harness.table2 import Table2Row, render_table2
 from repro.harness.render import render_table
 from repro.metrics.classify import DetectorMetrics
 
@@ -178,7 +178,7 @@ class CampaignTask:
 class CampaignResult:
     """Slim, picklable per-run record.
 
-    Exposes exactly the attributes :func:`repro.harness.table2.aggregate_row`
+    Exposes exactly the attributes :meth:`repro.harness.table2.Table2Row.add`
     reads from a full ``RunResult``, so campaign results flow unchanged
     into the Table 2 aggregation; the heavyweight reports, traces and
     logs never cross the process boundary.
@@ -345,76 +345,6 @@ def failed_result(task: CampaignTask, status: str,
 ERROR_SAMPLE_CAP = 8
 
 
-@dataclass
-class CellStats:
-    """Streaming Table-2 accumulator for one (workload, config) cell.
-
-    Folds one :class:`CampaignResult` at a time with exactly the
-    per-run arithmetic of :func:`repro.harness.table2.aggregate_row`:
-    integer sums and set unions only, so the fold is commutative and
-    associative -- any arrival order, worker count, or shard partition
-    renders the same row.
-    """
-
-    workload: str
-    config: str
-    ok_runs: int = 0
-    failed: int = 0
-    instructions: int = 0
-    svd_dynamic_fp: int = 0
-    frd_dynamic_fp: int = 0
-    svd_static_locs: Set[Any] = field(default_factory=set)
-    frd_static_locs: Set[Any] = field(default_factory=set)
-    bugs_found_svd: int = 0
-    bugs_found_frd: int = 0
-    apparent_fn: int = 0
-    posteriori_examinations: int = 0
-    cus_created: int = 0
-
-    def fold(self, result: CampaignResult) -> None:
-        if not result.ok:
-            self.failed += 1
-            return
-        self.ok_runs += 1
-        self.instructions += result.instructions
-        self.svd_dynamic_fp += result.svd.dynamic_fp
-        self.svd_static_locs |= result.svd.static_fp_locs
-        if result.frd is not None:
-            self.frd_dynamic_fp += result.frd.dynamic_fp
-            self.frd_static_locs |= result.frd.static_fp_locs
-            if result.frd.found_bug:
-                self.bugs_found_frd += 1
-        if result.svd.found_bug or result.posteriori_found_bug:
-            self.bugs_found_svd += 1
-        if result.apparent_false_negative:
-            self.apparent_fn += 1
-        self.posteriori_examinations += result.posteriori_static_entries
-        self.cus_created += result.cus_created
-
-    @property
-    def label(self) -> str:
-        return (self.workload if self.config == "default"
-                else f"{self.workload}[{self.config}]")
-
-    @property
-    def touched(self) -> bool:
-        return self.ok_runs + self.failed > 0
-
-    def to_row(self, buggy: bool) -> Table2Row:
-        return Table2Row(
-            program=self.label, segments=self.ok_runs, buggy=buggy,
-            instructions=self.instructions,
-            apparent_fn=self.apparent_fn,
-            svd_static_fp=len(self.svd_static_locs),
-            frd_static_fp=len(self.frd_static_locs),
-            svd_dynamic_fp=self.svd_dynamic_fp,
-            frd_dynamic_fp=self.frd_dynamic_fp,
-            posteriori_examinations=self.posteriori_examinations,
-            cus_created=self.cus_created,
-            bugs_found_svd=self.bugs_found_svd,
-            bugs_found_frd=self.bugs_found_frd)
-
-
 class CampaignAggregate:
     """O(1)-per-task streaming aggregation of a campaign.
 
@@ -445,11 +375,16 @@ class CampaignAggregate:
         self.events = 0
         #: SVD dynamic reports across ok runs
         self.violations = 0
-        self.cells: Dict[Tuple[str, str], CellStats] = {}
+        #: one streaming Table-2 row per (workload, config) cell; buggy
+        #: is filled in at render time (see table2_rows), because
+        #: knowing it means building the workload
+        self.cells: Dict[Tuple[str, str], Table2Row] = {}
         for workload in spec.workloads:
             for config in spec.configs:
-                self.cells[(workload.name, config.name)] = CellStats(
-                    workload=workload.name, config=config.name)
+                label = (workload.name if config.name == "default"
+                         else f"{workload.name}[{config.name}]")
+                self.cells[(workload.name, config.name)] = Table2Row(
+                    program=label, buggy=False)
         self.obs_snapshot: Optional[Dict[str, Any]] = None
         self.violation_fingerprints: Set[str] = set()
         self.error_samples: List[CampaignResult] = []
@@ -473,13 +408,14 @@ class CampaignAggregate:
             raise ValueError(
                 f"result for unknown cell ({result.workload!r}, "
                 f"{result.config!r})")
-        cell.fold(result)
         self.completed += 1
         if result.ok:
+            cell.add(result)
             self.ok_count += 1
             self.events += result.instructions
             self.violations += result.svd.dynamic_total
         else:
+            cell.failed += 1
             self.failed_count += 1
             if len(self.error_samples) < ERROR_SAMPLE_CAP:
                 self.error_samples.append(result)
@@ -504,25 +440,19 @@ class CampaignAggregate:
                     sample.append(index)
         return count, sample
 
-    def buggy_map(self) -> Dict[str, bool]:
+    def table2_rows(self) -> List[Table2Row]:
+        """Cells with at least one folded result, in matrix order --
+        the row order batch aggregation produced when it grouped
+        index-sorted results."""
         buggy = {}
         for workload in self.spec.workloads:
             try:
                 buggy[workload.name] = workload.build().buggy
             except Exception:
                 buggy[workload.name] = False
-        return buggy
-
-    def touched_cells(self) -> List[CellStats]:
-        """Cells with at least one folded result, in matrix order --
-        the row order batch aggregation produced when it grouped
-        index-sorted results."""
-        return [cell for cell in self.cells.values() if cell.touched]
-
-    def table2_rows(self) -> List[Table2Row]:
-        buggy = self.buggy_map()
-        return [cell.to_row(buggy[cell.workload])
-                for cell in self.touched_cells()]
+        return [replace(cell, buggy=buggy[workload])
+                for (workload, _config), cell in self.cells.items()
+                if cell.segments + cell.failed]
 
 
 @dataclass
@@ -537,20 +467,13 @@ class CampaignReport:
     """
 
     spec: CampaignSpec
+    aggregate: CampaignAggregate
     results: List[CampaignResult] = field(default_factory=list)
     elapsed: float = 0.0
     #: the campaign was cut short by SIGINT/SIGTERM; the aggregate (and
     #: ``results``, when kept) holds whatever completed (and was
     #: journaled) before the interruption
     interrupted: bool = False
-    aggregate: Optional[CampaignAggregate] = None
-
-    def __post_init__(self) -> None:
-        if self.aggregate is None:
-            aggregate = CampaignAggregate(self.spec)
-            for result in sorted(self.results, key=lambda r: r.index):
-                aggregate.fold(result)
-            self.aggregate = aggregate
 
     @property
     def completed(self) -> int:
@@ -568,13 +491,6 @@ class CampaignReport:
     def failed_count(self) -> int:
         return self.aggregate.failed_count
 
-    def group_results(self) -> "Dict[Tuple[str, str], List[CampaignResult]]":
-        groups: Dict[Tuple[str, str], List[CampaignResult]] = {}
-        for result in sorted(self.results, key=lambda r: r.index):
-            groups.setdefault((result.workload, result.config),
-                              []).append(result)
-        return groups
-
     def table2_rows(self) -> List[Table2Row]:
         """Each (workload, config) cell's metrics, merged exactly the
         way Table 2 aggregates its seeded segments."""
@@ -584,14 +500,12 @@ class CampaignReport:
         """Deterministic aggregated-metrics table: identical input
         matrix => byte-identical text, for any worker count, shard
         count, or completion order."""
-        buggy = self.aggregate.buggy_map()
         rows = []
-        for cell in self.aggregate.touched_cells():
-            table_row = cell.to_row(buggy[cell.workload])
+        for table_row in self.table2_rows():
             rows.append((
                 table_row.program,
                 table_row.segments,
-                cell.failed,
+                table_row.failed,
                 f"{table_row.instructions / 1e6:.3f}",
                 table_row.apparent_fn_text,
                 f"{table_row.bugs_found_svd}/{table_row.bugs_found_frd}",

@@ -183,7 +183,8 @@ def plan_shards(spec: CampaignSpec, count: int, out_dir: str,
                      total_tasks=len(tasks), config=config_doc)
 
 
-def _load_json(path: str, expected_format: str) -> Dict[str, Any]:
+def _load_json(path: str,
+               expected_format: Optional[str] = None) -> Dict[str, Any]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -191,7 +192,8 @@ def _load_json(path: str, expected_format: str) -> Dict[str, Any]:
         raise ShardError(f"{path}: cannot read ({exc})") from None
     except ValueError as exc:
         raise ShardError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("format") != expected_format:
+    if expected_format is not None and (
+            not isinstance(doc, dict) or doc.get("format") != expected_format):
         raise ShardError(f"{path}: not a {expected_format} document")
     return doc
 
@@ -320,8 +322,7 @@ def merge_shards(plan_dir: str) -> ShardMerge:
         replayed.append(index)
         metrics_path = os.path.join(shard_dir, METRICS_NAME)
         if os.path.exists(metrics_path):
-            with open(metrics_path) as fh:
-                snapshot = json.load(fh)
+            snapshot = _load_json(metrics_path)
             merged_snapshot = obs.merge_snapshots(
                 [merged_snapshot, snapshot]
                 if merged_snapshot is not None else [snapshot])

@@ -24,7 +24,7 @@ low absolute SVD dynamic rate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from repro.harness.render import render_table
 from repro.harness.runner import RunResult, run_workload
@@ -35,22 +35,58 @@ from repro.workloads.base import Workload
 
 @dataclass
 class Table2Row:
-    """One aggregated row (several seeded segments of one configuration)."""
+    """One aggregated row (several seeded segments of one configuration),
+    folded one run at a time by :meth:`add`.
+
+    Integer sums and set unions only, so the fold is commutative and
+    associative: any arrival order, worker count, or shard partition
+    gives the same row.  :func:`aggregate_row` folds full ``RunResult``
+    objects and the campaign aggregate folds slim ``CampaignResult``
+    records, which expose the same attributes.
+    """
 
     program: str
-    segments: int
     buggy: bool
+    segments: int = 0
     instructions: int = 0
     apparent_fn: int = 0
-    svd_static_fp: int = 0
-    frd_static_fp: int = 0
+    svd_static_locs: Set[Any] = field(default_factory=set)
+    frd_static_locs: Set[Any] = field(default_factory=set)
     svd_dynamic_fp: int = 0
     frd_dynamic_fp: int = 0
     posteriori_examinations: int = 0
     cus_created: int = 0
     bugs_found_svd: int = 0
     bugs_found_frd: int = 0
+    #: campaign tasks of this cell that failed or were skipped (they
+    #: are not folded; the campaign table shows them in its own column)
+    failed: int = 0
     runs: List[RunResult] = field(default_factory=list)
+
+    def add(self, result) -> None:
+        self.segments += 1
+        self.instructions += result.instructions
+        self.svd_dynamic_fp += result.svd.dynamic_fp
+        self.svd_static_locs |= result.svd.static_fp_locs
+        if result.frd is not None:
+            self.frd_dynamic_fp += result.frd.dynamic_fp
+            self.frd_static_locs |= result.frd.static_fp_locs
+            if result.frd.found_bug:
+                self.bugs_found_frd += 1
+        if result.svd.found_bug or result.posteriori_found_bug:
+            self.bugs_found_svd += 1
+        if result.apparent_false_negative:
+            self.apparent_fn += 1
+        self.posteriori_examinations += result.posteriori_static_entries
+        self.cus_created += result.cus_created
+
+    @property
+    def svd_static_fp(self) -> int:
+        return len(self.svd_static_locs)
+
+    @property
+    def frd_static_fp(self) -> int:
+        return len(self.frd_static_locs)
 
     @property
     def apparent_fn_text(self) -> str:
@@ -71,27 +107,10 @@ class Table2Row:
 
 def aggregate_row(program: str, buggy: bool,
                   runs: Sequence[RunResult]) -> Table2Row:
-    row = Table2Row(program=program, segments=len(runs), buggy=buggy)
-    svd_static: set = set()
-    frd_static: set = set()
+    row = Table2Row(program=program, buggy=buggy)
     for result in runs:
+        row.add(result)
         row.runs.append(result)
-        row.instructions += result.instructions
-        row.svd_dynamic_fp += result.svd.dynamic_fp
-        svd_static |= result.svd.static_fp_locs
-        if result.frd is not None:
-            row.frd_dynamic_fp += result.frd.dynamic_fp
-            frd_static |= result.frd.static_fp_locs
-            if result.frd.found_bug:
-                row.bugs_found_frd += 1
-        if result.svd.found_bug or result.posteriori_found_bug:
-            row.bugs_found_svd += 1
-        if result.apparent_false_negative:
-            row.apparent_fn += 1
-        row.posteriori_examinations += result.posteriori_static_entries
-        row.cus_created += result.cus_created
-    row.svd_static_fp = len(svd_static)
-    row.frd_static_fp = len(frd_static)
     return row
 
 

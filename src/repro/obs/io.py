@@ -22,7 +22,8 @@ def atomic_write_text(path: str, text: str, fsync: bool = False) -> None:
     The temporary sibling lives in the destination directory (cross-
     device renames are not atomic), is uniquely named (concurrent
     writers cannot corrupt each other's staging file), and is cleaned
-    up on any failure.
+    up on any failure.  ``fsync=True`` makes the write durable: the
+    payload is fsynced before the rename and the directory after it.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory,
@@ -41,3 +42,11 @@ def atomic_write_text(path: str, text: str, fsync: bool = False) -> None:
         except OSError:
             pass
         raise
+    if fsync:
+        # the rename lives in the directory entry: without this, a power
+        # loss can leave the old file (or none) behind a synced payload
+        dir_fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)

@@ -181,3 +181,44 @@ class TestBudget:
         skipped = [r for r in report.results if r.status == "skipped"]
         assert len(report.results) == 80
         assert len(skipped) >= 78  # the first task may sneak in
+
+
+class TestSession:
+    def test_shard_session_runs_its_slice_and_merges_obs(self):
+        from repro.harness.session import run_session
+        session = run_session(small_spec(obs=True), shard=(2, 4),
+                              summary=True)
+        assert session.total == 1  # index 2 of the 6-task matrix
+        assert session.report.completed == 1
+        assert not session.report.interrupted
+        assert session.heartbeat["final"] is True
+        assert session.snapshot["counters"]["pool.tasks.ok"] == 1
+
+    def test_no_heartbeat_without_a_reader(self):
+        """No stream, no render, no summary wanted: the session runs
+        without a heartbeat, so the pool is not monitored either."""
+        from repro.harness.session import run_session
+        session = run_session(small_spec(), shard=(2, 4))
+        assert session.report.completed == 1
+        assert session.heartbeat is None
+
+    def test_interrupt_outside_run_campaign_reports_interrupted(
+            self, tmp_path, monkeypatch):
+        """A signal in set-up (before ``run_campaign`` can absorb it)
+        still yields an interrupted report and a flushed heartbeat."""
+        import json
+
+        import repro.harness.session as session_mod
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt("SIGTERM")
+
+        monkeypatch.setattr(session_mod, "run_campaign", interrupted)
+        path = tmp_path / "hb.jsonl"
+        session = session_mod.run_session(small_spec(),
+                                          heartbeat_path=str(path))
+        assert session.report.interrupted
+        assert session.report.completed == 0
+        final = json.loads(path.read_text().splitlines()[-1])
+        assert final["final"] and final["interrupted"]
+        assert session.heartbeat == final

@@ -2,6 +2,7 @@
 merge, span export round-trips, and the scoped runtime switchboard."""
 
 import json
+import os
 
 import pytest
 
@@ -449,6 +450,25 @@ class TestAtomicWrite:
             atomic_write_text(str(path), "bad\n")
         assert path.read_text() == "good\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_fsync_also_syncs_the_directory(self, tmp_path, monkeypatch):
+        import stat
+
+        import repro.obs.io as io_mod
+        real_fsync = io_mod.os.fsync
+        synced = []
+
+        def spy(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(io_mod.os, "fsync", spy)
+        atomic_write_text(str(tmp_path / "out.json"), "x\n", fsync=True)
+        # the payload first, then the directory holding the rename
+        assert synced == [False, True]
+        synced.clear()
+        atomic_write_text(str(tmp_path / "out.json"), "y\n")
+        assert synced == []
 
     def test_metrics_out_uses_atomic_write(self, tmp_path):
         from repro.cli import main

@@ -252,3 +252,15 @@ class TestSupervisorSmall:
     def test_rejects_unknown_workload(self):
         with pytest.raises(ValueError):
             ServeConfig(workloads=("nonesuch",))
+
+    @pytest.mark.parametrize("bad", [
+        ["--port-file", "port"],  # --port-file without --http-port
+        ["--concurrency", "0"],   # rejected by ServeConfig
+    ])
+    def test_cli_usage_error_leaves_no_heartbeat_file(self, tmp_path,
+                                                      monkeypatch, bad):
+        from repro.cli import main
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve", "--workloads", "apache", "--executions",
+                     "1", "--heartbeat-out", "hb.jsonl", *bad]) == 2
+        assert list(tmp_path.iterdir()) == []

@@ -167,3 +167,39 @@ class TestPeakRss:
         # kernel's deferred per-thread RSS accounting, which can lag a
         # few hundred KB either way)
         assert peak_rss_bytes() >= grown - 2 * 1024 * 1024
+
+
+class TestShardRunCli:
+    def test_garbled_metrics_snapshot_is_a_usage_error(self, tmp_path,
+                                                       capsys):
+        from repro.cli import main
+        out = str(tmp_path / "plan")
+        assert main(["shard", "plan", "--workloads", "stringbuffer",
+                     "--seeds", "2", "--max-steps", "30000",
+                     "--shards", "2", "--out", out]) == 0
+        for index in range(2):
+            assert main(["shard", "run", os.path.join(
+                out, shard_dir_name(index))]) in (0, 1)
+        metrics = os.path.join(out, shard_dir_name(0), "metrics.json")
+        with open(metrics) as fh:
+            assert json.load(fh)["counters"]
+        open(metrics, "w").close()  # truncated to 0 bytes
+        capsys.readouterr()
+        assert main(["shard", "merge", out]) == 2
+        assert "metrics.json: not valid JSON" in capsys.readouterr().err
+
+    def test_db_row_carries_the_plan_detectors(self, tmp_path):
+        from repro.cli import main
+        from repro.resultsdb import open_db
+        out = str(tmp_path / "plan")
+        db = str(tmp_path / "results.db")
+        assert main(["shard", "plan", "--workloads", "stringbuffer",
+                     "--seeds", "1", "--max-steps", "30000",
+                     "--detectors", "lockset", "--shards", "1",
+                     "--out", out]) == 0
+        assert main(["shard", "run", os.path.join(out, shard_dir_name(0)),
+                     "--db", db]) in (0, 1)
+        with open_db(db) as handle:
+            record = handle.latest()
+        assert record.label == "campaign[shard 1/1]"
+        assert list(record.detectors) == ["lockset"]
