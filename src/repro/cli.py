@@ -821,9 +821,9 @@ def _cmd_exec(args) -> int:
                           observers=observers)
         status = machine.run(max_steps=args.max_steps)
     if recorder is not None:
-        recorder.trace().save(args.save_trace)
-        print(f"trace saved to {args.save_trace} "
-              f"({len(recorder.events)} events)")
+        trace = recorder.trace()
+        trace.save(args.save_trace)
+        print(f"trace saved to {args.save_trace} ({len(trace)} events)")
     print(f"status: {status} after {machine.steps} steps")
     if machine.output:
         print("output:", " ".join(str(v) for _t, v in machine.output))
@@ -1104,7 +1104,7 @@ def _cmd_campaign(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     journal_dir = args.resume or args.journal
-    total = len(names) * len(configs) * args.seeds
+    total = spec.task_count()
     done = [0]
 
     def progress(result) -> None:
@@ -1179,8 +1179,8 @@ def _cmd_shard_plan(args) -> int:
     except shardlib.ShardError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    per_shard = [sum(1 for i in range(plan.total_tasks)
-                     if i % plan.count == k) for k in range(plan.count)]
+    per_shard = [spec.task_count((k, plan.count))
+                 for k in range(plan.count)]
     print(f"planned {plan.total_tasks} tasks across {plan.count} "
           f"shard(s) in {args.out} ({min(per_shard)}-{max(per_shard)} "
           f"tasks/shard, fingerprint {plan.fingerprint[:16]})")

@@ -132,6 +132,13 @@ class CampaignSpec:
     #: deterministic backoff factor between attempts, in seconds
     retry_backoff: float = 0.0
 
+    def task_count(self, shard: Optional[Tuple[int, int]] = None) -> int:
+        """Tasks in the matrix, or in shard ``(index, count)`` of it:
+        the tasks whose matrix index is ``index`` modulo ``count``."""
+        index, count = shard or (0, 1)
+        total = len(self.workloads) * len(self.configs) * self.seeds
+        return len(range(index, total, count))
+
     def tasks(self) -> List["CampaignTask"]:
         """The deterministic task expansion of the matrix."""
         out: List[CampaignTask] = []
@@ -366,7 +373,7 @@ class CampaignAggregate:
 
     def __init__(self, spec: CampaignSpec) -> None:
         self.spec = spec
-        self.total = len(spec.workloads) * len(spec.configs) * spec.seeds
+        self.total = spec.task_count()
         self._seen = bytearray((self.total + 7) // 8)
         self.completed = 0
         self.ok_count = 0

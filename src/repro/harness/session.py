@@ -90,9 +90,7 @@ def run_session(spec: CampaignSpec, *, workers: int = 1,
     Results always stream (``keep_results=False``), so parent memory
     stays O(1) in completed tasks however large the matrix is.
     """
-    total = len(spec.workloads) * len(spec.configs) * spec.seeds
-    if shard is not None:
-        total = len(range(shard[0], total, shard[1]))
+    total = spec.task_count(shard)
     report = heartbeat = handle = None
     try:
         with _signals_interrupt():

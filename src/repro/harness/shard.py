@@ -151,7 +151,6 @@ def plan_shards(spec: CampaignSpec, count: int, out_dir: str,
             f"{manifest_path}: plan already exists; pick a fresh "
             f"directory")
     fingerprint = spec_fingerprint(spec)
-    tasks = spec.tasks()
     spec_doc = spec_to_json(spec)
     for index in range(count):
         shard_dir = os.path.join(out_dir, shard_dir_name(index))
@@ -161,7 +160,7 @@ def plan_shards(spec: CampaignSpec, count: int, out_dir: str,
             "version": _VERSION,
             "fingerprint": fingerprint,
             "shard": {"index": index, "count": count},
-            "tasks": sum(1 for t in tasks if t.index % count == index),
+            "tasks": spec.task_count((index, count)),
             "spec": spec_doc,
         }
         obs.atomic_write_text(
@@ -172,7 +171,7 @@ def plan_shards(spec: CampaignSpec, count: int, out_dir: str,
         "version": _VERSION,
         "shards": count,
         "fingerprint": fingerprint,
-        "total_tasks": len(tasks),
+        "total_tasks": spec.task_count(),
         "config": config_doc,
         "spec": spec_doc,
     }
@@ -180,7 +179,7 @@ def plan_shards(spec: CampaignSpec, count: int, out_dir: str,
         manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return ShardPlan(directory=out_dir, count=count,
                      fingerprint=fingerprint, spec=spec,
-                     total_tasks=len(tasks), config=config_doc)
+                     total_tasks=spec.task_count(), config=config_doc)
 
 
 def _load_json(path: str,

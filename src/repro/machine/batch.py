@@ -21,7 +21,7 @@ Batches are produced in two places:
 * the live machine's emission buffer (:meth:`repro.machine.Machine`
   staging rows and flushing via :meth:`Machine.flush_events`);
 * trace replay (:meth:`repro.trace.Trace.batches` slices the trace's
-  cached column arrays into windows).
+  whole-trace batch into windows).
 
 and consumed through the ``consume_batch(batch)`` observer/analysis
 protocol (see ``docs/architecture.md``).  A consumer may receive kinds
@@ -47,15 +47,20 @@ ROW_FIELDS = ("kind", "seq", "tid", "pc", "loc", "addr", "value",
 _EMPTY_COLUMNS: Tuple[Tuple, ...] = ((),) * len(ROW_FIELDS)
 
 
+def event_row(e: Event) -> Tuple:
+    """An Event's row, in :data:`ROW_FIELDS` order."""
+    return (e.kind, e.seq, e.tid, e.pc, e.loc, e.addr, e.value, e.taken,
+            e.target)
+
+
 class EventBatch:
     """One flushed window of the event stream, in columnar form.
 
     Rows are in global sequence order; ``count`` is the window length.
     ``to_events`` materializes (and caches) the equivalent
-    :class:`Event` objects -- the engine's per-event fallback and the
-    trace recorder share that one materialization, so Events are
-    constructed at most once per window no matter how many consumers
-    need them.
+    :class:`Event` objects for the consumers that need them (the
+    engine's per-event fallback, a trace's Event queries), at most once
+    per window.  A :class:`repro.trace.Trace` is one whole-trace batch.
     """
 
     __slots__ = ("count", "kinds", "seqs", "tids", "pcs", "locs", "addrs",
@@ -69,6 +74,20 @@ class EventBatch:
         self._events = events
         self._kind_counts: Optional[List[int]] = None
 
+    @property
+    def columns(self) -> Tuple[Sequence, ...]:
+        """The nine columns, in :data:`ROW_FIELDS` order."""
+        return (self.kinds, self.seqs, self.tids, self.pcs, self.locs,
+                self.addrs, self.values, self.takens, self.targets)
+
+    def window(self, start: int, stop: int) -> "EventBatch":
+        """Rows ``[start, stop)`` as their own batch, sharing the
+        already-materialized Events if there are any."""
+        events = self._events
+        return EventBatch(
+            tuple(column[start:stop] for column in self.columns),
+            events=None if events is None else events[start:stop])
+
     @classmethod
     def from_rows(cls, rows: Sequence[Tuple]) -> "EventBatch":
         """Transpose staged row tuples (the live buffer) into columns."""
@@ -81,12 +100,8 @@ class EventBatch:
         """Columnarize existing Event objects, keeping them as the
         already-materialized ``to_events`` answer."""
         events = list(events)
-        if not events:
-            return cls(_EMPTY_COLUMNS, events=events)
-        columns = tuple(zip(*((e.kind, e.seq, e.tid, e.pc, e.loc, e.addr,
-                               e.value, e.taken, e.target)
-                              for e in events)))
-        return cls(columns, events=events)
+        return cls(tuple(zip(*map(event_row, events))) or _EMPTY_COLUMNS,
+                   events=events)
 
     def kind_counts(self) -> List[int]:
         """Events per kind in this window (cached)."""
@@ -101,8 +116,8 @@ class EventBatch:
     def to_events(self, program) -> List[Event]:
         """Materialize the window as :class:`Event` objects (cached).
 
-        Events re-link to ``program.code[pc]`` exactly as
-        :meth:`repro.trace.Trace.load` does, so a synthesized event is
+        This is the one place a row re-links to ``program.code[pc]``
+        (``None`` for a pc outside the code), so a synthesized event is
         field-for-field identical to the one the per-event path would
         have constructed at emission time.
         """

@@ -20,14 +20,17 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.isa.program import Program
-from repro.machine.batch import DEFAULT_BATCH_SIZE, EventBatch
+from repro.machine.batch import (DEFAULT_BATCH_SIZE, ROW_FIELDS, EventBatch,
+                                 event_row)
 from repro.machine.events import (
-    EV_ACQUIRE, EV_ALU, EV_BRANCH, EV_CRASH, EV_HALT, EV_JUMP, EV_LOAD,
-    EV_OUTPUT, EV_RELEASE, EV_STORE, N_KINDS, Event, MachineObserver,
+    EV_LOAD, EV_STORE, N_KINDS, Event, MachineObserver,
 )
+
+#: the fields of one saved record: every row field but ``loc``
+_RECORD_FIELDS = tuple(name for name in ROW_FIELDS if name != "loc")
 
 
 class TraceLoadError(ValueError):
@@ -84,8 +87,8 @@ class SalvageReport:
 
 
 def _decode_record(line: bytes, version: int) -> list:
-    """Decode one record line to its 8 fields; raises ValueError with a
-    human reason on any damage."""
+    """Decode one record line to its 8 integer fields; raises ValueError
+    with a human reason on any damage."""
     text = line.decode("utf-8").rstrip("\n")
     if version >= 2:
         length_text, sep1, rest = text.partition(":")
@@ -108,9 +111,14 @@ def _decode_record(line: bytes, version: int) -> list:
     fields = json.loads(payload)
     if not isinstance(fields, list) or len(fields) != 8:
         raise ValueError("record is not an 8-field array")
+    for name, value in zip(_RECORD_FIELDS, fields):
+        if type(value) is not int:  # bools are not integers here
+            raise ValueError(f"{name} {value!r} is not an integer")
     kind = fields[0]
-    if not isinstance(kind, int) or not 0 <= kind < N_KINDS:
+    if not 0 <= kind < N_KINDS:
         raise ValueError(f"event kind {kind!r} out of range")
+    if fields[6] not in (0, 1):
+        raise ValueError(f"taken {fields[6]!r} is not 0 or 1")
     return fields
 
 
@@ -123,20 +131,33 @@ def conflicting(a: Event, b: Event) -> bool:
 
 
 class Trace:
-    """An immutable recorded program trace."""
+    """An immutable recorded program trace, held as one whole-trace
+    :class:`EventBatch`; Events are built only when a query asks."""
 
     def __init__(self, program: Program, events: Sequence[Event],
                  n_threads: int) -> None:
         self.program = program
-        self.events: List[Event] = list(events)
         self.n_threads = n_threads
-        #: lazily built columnar form shared by every batched replay of
-        #: this trace (the trace is immutable, so build it once)
-        self._columns: Optional[Tuple] = None
-        self._batch_cache: Dict[int, List[EventBatch]] = {}
+        self._batch = EventBatch.from_events(events)
+        #: batch size -> windows, kept because one recording is often
+        #: replayed by several engines (each would re-slice otherwise)
+        self._windows: Dict[int, List[EventBatch]] = {}
+
+    @classmethod
+    def from_columns(cls, program: Program, columns: Sequence[Sequence],
+                     n_threads: int) -> "Trace":
+        """A trace over nine columns in ``ROW_FIELDS`` order."""
+        trace = cls(program, (), n_threads)
+        trace._batch = EventBatch(columns)
+        return trace
+
+    @property
+    def events(self) -> List[Event]:
+        """The trace as Event objects (materialized once, on demand)."""
+        return self._batch.to_events(self.program)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._batch.count
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -149,20 +170,12 @@ class Trace:
         """All LOAD/STORE events, in program-trace order."""
         return [e for e in self.events if e.kind in (EV_LOAD, EV_STORE)]
 
-    def sync_events(self) -> List[Event]:
-        """All ACQUIRE/RELEASE events, in program-trace order."""
-        return [e for e in self.events if e.kind in (EV_ACQUIRE, EV_RELEASE)]
-
-    @property
-    def instruction_count(self) -> int:
-        return len(self.events)
-
     @property
     def end_seq(self) -> int:
         """The sequence number one past the last event -- what
         ``machine.seq`` was when the recording stopped.  Analyses replayed
         over the trace receive this as their end-of-stream position."""
-        return self.events[-1].seq + 1 if self.events else 0
+        return self._batch.seqs[-1] + 1 if len(self) else 0
 
     def accesses_by_address(self) -> Dict[int, List[Event]]:
         """Group memory accesses by word address, preserving order."""
@@ -184,50 +197,24 @@ class Trace:
                     if conflicting(early, late):
                         yield early, late
 
-    def feed(self, observer: MachineObserver) -> int:
-        """Deliver every recorded event to ``observer`` in trace order,
-        as a live machine would have.  Returns :attr:`end_seq` so callers
-        can synthesise the end-of-run callback.  To feed *several*
-        analyses in one pass, use :class:`repro.engine.DetectorEngine`
-        instead of calling this once per detector."""
-        on_event = observer.on_event
-        for event in self.events:
-            on_event(event)
-        return self.end_seq
-
     def batches(self,
                 batch_size: int = DEFAULT_BATCH_SIZE) -> List[EventBatch]:
         """The trace sliced into columnar :class:`EventBatch` windows.
 
-        Column arrays are built once per trace and shared; the window
-        list for each ``batch_size`` is cached too, and each window's
-        ``to_events`` answer is the corresponding slice of
-        :attr:`events` (no re-materialization).  Replaying the batches
-        front to back is event-for-event equivalent to :meth:`feed`.
+        Each window slices the whole-trace columns (and the Events, if
+        they are already materialized), once per ``batch_size``.
+        Replaying the batches front to back is event-for-event
+        equivalent to iterating the trace.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        cached = self._batch_cache.get(batch_size)
-        if cached is not None:
-            return cached
-        columns = self._columns
-        if columns is None:
-            events = self.events
-            if events:
-                columns = tuple(zip(*((e.kind, e.seq, e.tid, e.pc, e.loc,
-                                       e.addr, e.value, e.taken, e.target)
-                                      for e in events)))
-            else:
-                columns = ((),) * 9
-            self._columns = columns
-        n = len(self.events)
-        batches = [
-            EventBatch(tuple(col[start:start + batch_size]
-                             for col in columns),
-                       events=self.events[start:start + batch_size])
-            for start in range(0, n, batch_size)]
-        self._batch_cache[batch_size] = batches
-        return batches
+        windows = self._windows.get(batch_size)
+        if windows is None:
+            whole = self._batch
+            windows = self._windows[batch_size] = [
+                whole.window(start, start + batch_size)
+                for start in range(0, whole.count, batch_size)]
+        return windows
 
     # -- serialization ---------------------------------------------------------
 
@@ -239,11 +226,12 @@ class Trace:
             header = {"format": "repro-trace",
                       "version": self.FORMAT_VERSION,
                       "n_threads": self.n_threads,
-                      "n_events": len(self.events)}
+                      "n_events": len(self)}
             fh.write(json.dumps(header) + "\n")
-            for e in self.events:
-                payload = json.dumps([e.kind, e.seq, e.tid, e.pc, e.addr,
-                                      e.value, int(e.taken), e.target])
+            for (kind, seq, tid, pc, _loc, addr, value, taken,
+                 target) in zip(*self._batch.columns):
+                payload = json.dumps([kind, seq, tid, pc, addr, value,
+                                      int(taken), target])
                 raw = payload.encode("utf-8")
                 fh.write(f"{len(raw)}:{zlib.crc32(raw):08x}:{payload}\n")
 
@@ -258,12 +246,19 @@ class Trace:
             raise TraceLoadError(path, 0, -1, str(exc)) from None
         return header, int(header.get("version", 1))
 
-    @staticmethod
-    def _link_event(fields: list, program: Program) -> Event:
-        kind, seq, tid, pc, addr, value, taken, target = fields
-        instr = program.code[pc] if 0 <= pc < len(program.code) else None
-        return Event(kind, seq, tid, pc, instr, addr=addr, value=value,
-                     taken=bool(taken), target=target)
+    @classmethod
+    def _from_records(cls, program: Program, records: List[list],
+                      n_threads: int) -> "Trace":
+        """A trace over decoded records, ``loc`` taken from
+        ``program.code[pc]`` and ``taken`` a bool, as the machine stages."""
+        kinds, seqs, tids, pcs, addrs, values, takens, targets = (
+            tuple(zip(*records)) or ((),) * len(_RECORD_FIELDS))
+        code = program.code
+        ncode = len(code)
+        locs = tuple(code[pc].loc if 0 <= pc < ncode else -1 for pc in pcs)
+        return cls.from_columns(program, (
+            kinds, seqs, tids, pcs, locs, addrs, values,
+            tuple(map(bool, takens)), targets), n_threads)
 
     @classmethod
     def load(cls, path: str, program: Program) -> "Trace":
@@ -273,7 +268,7 @@ class Trace:
         :class:`TraceLoadError` locating the file, byte offset, and
         record index -- use :meth:`salvage_load` to recover what is
         readable instead."""
-        events: List[Event] = []
+        records: List[list] = []
         with open(path, "rb") as fh:
             header_line = fh.readline()
             header, version = cls._read_header(path, header_line)
@@ -285,15 +280,15 @@ class Trace:
                 except ValueError as exc:
                     raise TraceLoadError(path, offset, index,
                                          str(exc)) from None
-                events.append(cls._link_event(fields, program))
+                records.append(fields)
                 offset += len(line)
                 index += 1
         expected = header.get("n_events")
-        if expected is not None and expected != len(events):
+        if expected is not None and expected != index:
             raise TraceLoadError(
-                path, offset, len(events),
-                f"file ends after {len(events)} of {expected} records")
-        return cls(program, events, header["n_threads"])
+                path, offset, index,
+                f"file ends after {index} of {expected} records")
+        return cls._from_records(program, records, header["n_threads"])
 
     @classmethod
     def salvage_load(cls, path: str,
@@ -306,7 +301,7 @@ class Trace:
         thread count is inferred from the surviving events.
         """
         report = SalvageReport(path=path)
-        events: List[Event] = []
+        records: List[list] = []
         with open(path, "rb") as fh:
             header_line = fh.readline()
             try:
@@ -321,7 +316,7 @@ class Trace:
                 except ValueError:
                     report.records_skipped += 1
                     continue
-                events.append(cls._link_event(fields, program))
+                records.append(fields)
                 report.records_read += 1
         expected = header.get("n_events")
         if expected is not None:
@@ -329,45 +324,29 @@ class Trace:
                 0, expected - report.records_read - report.records_skipped)
         n_threads = header.get("n_threads")
         if n_threads is None:
-            n_threads = 1 + max((e.tid for e in events), default=0)
-        return cls(program, events, n_threads), report
+            n_threads = 1 + max((fields[2] for fields in records), default=0)
+        return cls._from_records(program, records, n_threads), report
 
 
 class TraceRecorder(MachineObserver):
-    """Observer that records the full event stream of a run.
+    """Observer that records the full event stream of a run, as the
+    nine columns a :class:`Trace` holds."""
 
-    Optionally restricted to a window ``[start_seq, end_seq)`` to support
-    the paper's sampling of execution segments (§6.1 "fast-forwarding and
-    sampling").
-    """
-
-    def __init__(self, program: Program, n_threads: int,
-                 start_seq: int = 0, end_seq: Optional[int] = None) -> None:
+    def __init__(self, program: Program, n_threads: int) -> None:
         self._program = program
         self._n_threads = n_threads
-        self._start_seq = start_seq
-        self._end_seq = end_seq
-        self.events: List[Event] = []
+        self._columns: Tuple[list, ...] = tuple([] for _ in ROW_FIELDS)
 
     def on_event(self, event: Event) -> None:
-        if event.seq < self._start_seq:
-            return
-        if self._end_seq is not None and event.seq >= self._end_seq:
-            return
-        self.events.append(event)
+        for column, value in zip(self._columns, event_row(event)):
+            column.append(value)
 
     def consume_batch(self, batch: EventBatch) -> None:
-        """Batched recording: materialize the window once (shared with
-        any other consumer of the same batch) and append the events
-        that fall inside the recording window."""
-        events = batch.to_events(self._program)
-        start, end = self._start_seq, self._end_seq
-        if start == 0 and end is None:
-            self.events.extend(events)
-            return
-        self.events.extend(
-            e for e in events
-            if e.seq >= start and (end is None or e.seq < end))
+        """Batched recording: extend each column by the window's."""
+        for column, values in zip(self._columns, batch.columns):
+            column.extend(values)
 
     def trace(self) -> Trace:
-        return Trace(self._program, self.events, self._n_threads)
+        return Trace.from_columns(
+            self._program, tuple(map(tuple, self._columns)),
+            self._n_threads)

@@ -54,6 +54,17 @@ class TestSeedDerivation:
             [(t.index, t.workload.name, t.seed_index, t.seed)
              for t in tasks_b]
 
+    @pytest.mark.parametrize("seeds,shards", [(3, 4), (5, 3), (1, 5)])
+    def test_task_count_matches_the_expansion(self, seeds, shards):
+        """The one task-count rule: the matrix size, and per shard the
+        tasks whose index is the shard index modulo the shard count."""
+        spec = small_spec(seeds=seeds)
+        tasks = spec.tasks()
+        assert spec.task_count() == len(tasks)
+        for k in range(shards):
+            assert spec.task_count((k, shards)) == sum(
+                1 for t in tasks if t.index % shards == k)
+
 
 class TestSerialCampaign:
     def test_runs_and_aggregates(self):

@@ -18,7 +18,8 @@ from repro.engine import (Analysis, DetectorEngine, EngineError,
                           parse_detector_list)
 from repro.lang import compile_source
 from repro.machine import Machine, RandomScheduler
-from repro.machine.events import EV_LOAD, EV_STORE
+from repro.machine.batch import EventBatch
+from repro.machine.events import EV_LOAD, EV_STORE, Event
 from repro.trace.trace import Trace
 
 from .. import conftest as fixtures
@@ -136,6 +137,49 @@ class TestScheduling:
                        batched=False).run_trace(reference)
         assert ProbedTrace.iterations == 2
         assert ProbedTrace.batch_requests == 2  # unchanged
+
+    def test_recorded_run_builds_no_event(self, monkeypatch, tmp_path):
+        """Traces are columnar end to end: a 4-detector live run with a
+        recording (atomizer replays it in phase 1) never materializes an
+        Event -- not in live dispatch, the recorder or the replay -- and
+        the recording keeps its exact columns through save and load."""
+        built = {"to_events": 0, "Event": 0}
+        to_events, init = EventBatch.to_events, Event.__init__
+
+        def probed_to_events(batch, program):
+            built["to_events"] += 1
+            return to_events(batch, program)
+
+        def probed_init(event, *args, **kwargs):
+            built["Event"] += 1
+            init(event, *args, **kwargs)
+
+        monkeypatch.setattr(EventBatch, "to_events", probed_to_events)
+        monkeypatch.setattr(Event, "__init__", probed_init)
+        program, machine = _race_machine()
+        result = DetectorEngine(
+            program, ["svd", "frd", "lockset", "atomizer"]).run_machine(
+                machine, keep_trace=True)
+        assert result.stats.stream_passes == 2
+        recorded = result.trace
+        path = str(tmp_path / "t.trace")
+        recorded.save(path)
+        loaded = Trace.load(path, program)
+        assert built == {"to_events": 0, "Event": 0}
+
+        def columns(trace):
+            return [batch.columns for batch in trace.batches()]
+
+        assert len(loaded) == len(recorded) == result.end_seq
+        assert columns(loaded) == columns(recorded)
+        # == cannot tell True from 1: compare the column value types too
+        assert ([[list(map(type, col)) for col in window]
+                 for window in columns(loaded)]
+                == [[list(map(type, col)) for col in window]
+                    for window in columns(recorded)])
+        locs = [loc for batch in recorded.batches() for loc in batch.locs]
+        takens = [t for batch in recorded.batches() for t in batch.takens]
+        assert any(loc >= 0 for loc in locs) and True in takens
 
     def test_batch_path_analysis_never_sees_per_event_call(self):
         """An analysis on the batched fast path must receive the stream

@@ -6,9 +6,12 @@ sharded/unsharded byte-identity lives in
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.harness.campaign import (CampaignSpec, ConfigSpec,
                                     WorkloadSpec, run_campaign)
 from repro.harness.journal import spec_fingerprint
@@ -16,7 +19,6 @@ from repro.harness.shard import (ShardError, load_plan, load_shard,
                                  merge_heartbeats, merge_shards,
                                  plan_shards, shard_dir_name,
                                  spec_from_json, spec_to_json)
-from repro.obs.rss import peak_rss_bytes
 
 
 def small_spec(**kwargs):
@@ -155,18 +157,35 @@ class TestMergeHeartbeats:
         assert merge_heartbeats([]) is None
 
 
+#: the peak-RSS probe, run in a fresh interpreter: in the test process
+#: the high-water mark was set by earlier tests, and whatever they freed
+#: since leaves the current RSS an unknown distance below it, so the
+#: ballast below need not raise the mark at all
+_PEAK_RSS_PROBE = """
+from repro.obs.rss import peak_rss_bytes
+first = peak_rss_bytes()
+ballast = bytearray(32 * 1024 * 1024)
+grown = peak_rss_bytes()
+del ballast
+print(first, grown, peak_rss_bytes())
+"""
+
+
 class TestPeakRss:
     def test_positive_and_tracks_growth(self):
-        first = peak_rss_bytes()
+        # the child imports the same repro this process did
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        probe = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE],
+                               capture_output=True, text=True, check=True,
+                               env=env)
+        first, grown, after = map(int, probe.stdout.split())
         assert first > 1024 * 1024  # a python process is at least a MB
-        ballast = bytearray(32 * 1024 * 1024)
-        grown = peak_rss_bytes()
         assert grown >= first + 24 * 1024 * 1024
-        del ballast
         # a high-water mark does not come back down (modulo the
         # kernel's deferred per-thread RSS accounting, which can lag a
         # few hundred KB either way)
-        assert peak_rss_bytes() >= grown - 2 * 1024 * 1024
+        assert after >= grown - 2 * 1024 * 1024
 
 
 class TestShardRunCli:

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.lang import compile_source
-from repro.machine import EV_LOAD, EV_STORE, Machine, RandomScheduler
-from repro.trace import Trace, TraceRecorder, conflicting
+from repro.machine import EV_LOAD, EV_STORE
+from repro.trace import Trace, conflicting
 from tests.conftest import COUNTER_RACE, run_program
 
 
@@ -34,18 +33,6 @@ class TestRecording:
         for e in trace.memory_events():
             assert e.kind in (EV_LOAD, EV_STORE)
             assert e.addr >= 0
-
-    def test_window_recording(self):
-        prog = compile_source(COUNTER_RACE)
-        recorder = TraceRecorder(prog, 2, start_seq=10, end_seq=50)
-        m = Machine(prog, [("worker", (10,)), ("worker", (10,))],
-                    scheduler=RandomScheduler(seed=2, switch_prob=0.4),
-                    observers=[recorder])
-        m.run()
-        trace = recorder.trace()
-        assert len(trace) == 40
-        assert trace.events[0].seq == 10
-        assert trace.events[-1].seq == 49
 
     def test_accesses_by_address_grouping(self, race_trace):
         _m, trace = race_trace

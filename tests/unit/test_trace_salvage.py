@@ -30,6 +30,25 @@ def _tuples(trace):
              e.target) for e in trace]
 
 
+def _frame_record(path, index, fields):
+    """Overwrite record ``index`` with a correctly framed (right length,
+    right checksum) record holding ``fields``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    payload = json.dumps(fields).encode("utf-8")
+    lines[index + 1] = b"%d:%08x:%s\n" % (len(payload), zlib.crc32(payload),
+                                          payload)
+    path.write_bytes(b"".join(lines))
+
+
+#: well-framed records whose fields are not what Trace.save writes
+BAD_FIELDS = {
+    "string-pc": [0, 1, 0, "3", -1, 0, 0, -1],
+    "bool-value": [0, 1, 0, 3, -1, True, 0, -1],
+    "float-seq": [0, 1.0, 0, 3, -1, 0, 0, -1],
+    "taken-2": [0, 1, 0, 3, -1, 0, 2, -1],
+}
+
+
 class TestFraming:
     def test_v2_round_trip(self, recorded, tmp_path):
         program, trace = recorded
@@ -105,6 +124,18 @@ class TestStrictErrors:
                            match=f"ends after 20 of {len(trace)}"):
             Trace.load(str(path), program)
 
+    @pytest.mark.parametrize("bad", BAD_FIELDS)
+    def test_well_framed_bad_field_is_located(self, recorded, tmp_path,
+                                              bad):
+        program, trace = recorded
+        path = tmp_path / "t.trace"
+        trace.save(str(path))
+        _frame_record(path, 4, BAD_FIELDS[bad])
+        with pytest.raises(TraceLoadError) as exc_info:
+            Trace.load(str(path), program)
+        assert exc_info.value.record_index == 4
+        assert "record 4" in str(exc_info.value)
+
     def test_garbage_header_is_located(self, recorded, tmp_path):
         program, _trace = recorded
         path = tmp_path / "bad.trace"
@@ -143,6 +174,21 @@ class TestSalvage:
         del expected[10]
         assert _tuples(loaded) == expected
         assert "1 skipped" in report.describe()
+
+    @pytest.mark.parametrize("bad", BAD_FIELDS)
+    def test_well_framed_bad_field_is_skipped(self, recorded, tmp_path,
+                                              bad):
+        program, trace = recorded
+        path = tmp_path / "t.trace"
+        trace.save(str(path))
+        _frame_record(path, 4, BAD_FIELDS[bad])
+        loaded, report = Trace.salvage_load(str(path), program)
+        assert report.records_read == len(trace) - 1
+        assert report.records_skipped == 1
+        assert report.records_lost == 0
+        expected = _tuples(trace)
+        del expected[4]
+        assert _tuples(loaded) == expected
 
     def test_truncation_counts_lost_records(self, recorded, tmp_path):
         program, trace = recorded
