@@ -45,6 +45,7 @@ import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.faults.runtime as faults
@@ -83,7 +84,8 @@ class PoolStatus:
 #: how much of a dead worker's captured stderr rides in the outcome
 _STDERR_TAIL_BYTES = 4096
 
-#: how often the parent wakes up to check deadlines and dead workers
+#: the longest the parent sleeps between scheduling beats; it also
+#: wakes the moment a worker delivers a message or exits
 _POLL_SECONDS = 0.05
 
 
@@ -168,8 +170,10 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
     ``runner`` must be an importable module-level callable.  See the
     module docstring for outcome semantics.  ``monitor``, when given,
     is called with a :class:`PoolStatus` snapshot on every scheduling
-    beat (each poll-loop turn in parallel mode, around every task in
-    serial mode); rate limiting is the consumer's job.
+    beat (around every task in serial mode; in parallel mode, each time
+    the parent wakes: on a worker message, on a worker exit, or after
+    at most ``_POLL_SECONDS``); rate limiting is the consumer's job.
+    Task timeouts and worker deaths are checked on every parallel beat.
     """
     total = len(payloads)
     outcomes: List[Optional[Outcome]] = [None] * total
@@ -327,6 +331,16 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
         completed += 1
         record(index, outcome)
 
+    def drain() -> None:
+        while not result_queue.empty():
+            kind, index, worker_id, payload = result_queue.get()
+            if kind == "start":
+                running[worker_id] = (index, time.perf_counter())
+            elif kind in ("done", "error") and outcomes[index] is None:
+                running.pop(worker_id, None)
+                settle(index, ("ok", payload) if kind == "done"
+                       else ("error", payload))
+
     for _ in range(min(workers, total)):
         spawn_worker()
     feed()
@@ -346,32 +360,23 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
                         completed += 1
                         record(index, ("skipped", "budget exhausted"))
                 break
-            # drain every delivered message before looking at worker
-            # health: puts are synchronous (SimpleQueue), so a worker
-            # observed dead has already delivered everything it sent,
-            # and draining first attributes its death to the right task
-            drained = False
-            while not result_queue.empty():
-                drained = True
-                kind, index, worker_id, payload = result_queue.get()
-                if kind == "start":
-                    running[worker_id] = (index, time.perf_counter())
-                elif kind in ("done", "error") and outcomes[index] is None:
-                    running.pop(worker_id, None)
-                    settle(index, ("ok", payload) if kind == "done"
-                           else ("error", payload))
-            if drained:
-                feed()
-                continue  # re-drain until quiescent before health checks
-            time.sleep(_POLL_SECONDS)
-            if not result_queue.empty():
-                continue  # messages arrived during the nap: those first
-
+            drain()
+            # health checks run on every turn, not only when the queue
+            # is quiet: with results streaming in, a hung task would
+            # otherwise time out only once everything else had finished
+            dead = {worker_id for worker_id, proc in procs.items()
+                    if not proc.is_alive()}
+            if dead:
+                # drain again before judging: puts are synchronous
+                # (SimpleQueue), so a worker observed dead has already
+                # delivered everything it sent, and this attributes its
+                # death to the right task (or to none)
+                drain()
             now = time.perf_counter()
             for worker_id, (index, t0) in list(running.items()):
                 proc = procs.get(worker_id)
                 timed_out = timeout is not None and now - t0 > timeout
-                died = proc is None or not proc.is_alive()
+                died = proc is None or worker_id in dead
                 if not timed_out and not died:
                     continue
                 if died:
@@ -387,23 +392,32 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
                                    f"task exceeded {timeout}s") if timed_out
                            else ("error", crash_message(worker_id, proc)))
                 spawn_worker()
-                feed()
             # a worker that died while idle (e.g. OOM-killed between
             # tasks) loses no task; it is counted and replaced
-            for worker_id, proc in list(procs.items()):
-                if worker_id not in running and not proc.is_alive():
-                    crash_count += 1
-                    obs.add("pool.worker_crash")
-                    procs.pop(worker_id)
-                    spawn_worker()
+            for worker_id in dead & procs.keys():
+                crash_count += 1
+                obs.add("pool.worker_crash")
+                procs.pop(worker_id).join(timeout=5)
+                spawn_worker()
             feed()
+            if completed < total:
+                # sleep until a worker delivers a message or exits; the
+                # timeout only paces the monitor, deadline and budget
+                # checks (multiprocessing.pool reads _reader likewise)
+                wait([result_queue._reader,
+                      *(proc.sentinel for proc in procs.values())],
+                     timeout=_POLL_SECONDS)
         # one closing snapshot so consumers see the final counts even
         # when the last task finished between sampling beats
         sample_status()
     finally:
-        for proc in procs.values():
-            if proc.is_alive():
-                task_queue.put(None)
+        # count the live workers before sending any stop sentinel: a
+        # worker exits the moment it takes one, so checking liveness
+        # between puts could count it gone after it ate the sentinel
+        # meant for another, leaving that one to the 5 s join timeout
+        alive = sum(1 for proc in procs.values() if proc.is_alive())
+        for _ in range(alive):
+            task_queue.put(None)
         deadline = time.perf_counter() + 5
         for proc in procs.values():
             proc.join(timeout=max(0.1, deadline - time.perf_counter()))
